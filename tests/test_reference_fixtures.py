@@ -23,8 +23,8 @@ from ferenda_ray.sources.textreader import TextReader, UNIX
 
 FIXDIR = "/root/reference/test/files/fsmparser"
 
-pytestmark = pytest.mark.skipif(not os.path.isdir(FIXDIR),
-                                reason="reference fixtures not present")
+needs_fixdir = pytest.mark.skipif(not os.path.isdir(FIXDIR),
+                                  reason="reference fixtures not present")
 
 _SECTION = re.compile(r"^(\d[\.\d]*) +(.*[^\.])$")
 
@@ -213,9 +213,11 @@ def _parse_file(path):
     return build_parser().parse(tr.getiterator(tr.readparagraph))
 
 
-FIXTURES = sorted(f[:-4] for f in os.listdir(FIXDIR) if f.endswith(".txt"))
+FIXTURES = (sorted(f[:-4] for f in os.listdir(FIXDIR) if f.endswith(".txt"))
+            if os.path.isdir(FIXDIR) else [])
 
 
+@needs_fixdir
 @pytest.mark.parametrize("name", FIXTURES)
 def test_fsmparser_fixture(name):
     body = _parse_file(os.path.join(FIXDIR, name + ".txt"))
@@ -224,6 +226,7 @@ def test_fsmparser_fixture(name):
     assert el.serialize(body).strip() == golden
 
 
+@needs_fixdir
 @pytest.mark.parametrize("name", ["no-recognizer", "no-transition"])
 def test_fsmparser_error_fixture(name):
     # .tx files: chunks no recognizer/transition covers must raise
@@ -256,6 +259,7 @@ def _xml_equal(want, got, path="/"):
         _xml_equal(w, g, f"{path}{want.tag}[{i}]/")
 
 
+@pytest.mark.skipif(not os.path.isdir(RFCDIR), reason="fixtures absent")
 @pytest.mark.parametrize(
     "name",
     sorted(f[:-4] for f in os.listdir(RFCDIR) if f.endswith(".txt"))
@@ -281,6 +285,7 @@ def test_rfc_fixture(name):
 CITDIR = "/root/reference/test/files/citation/url"
 
 
+@pytest.mark.skipif(not os.path.isdir(CITDIR), reason="fixtures absent")
 @pytest.mark.parametrize(
     "name",
     sorted(f[:-4] for f in os.listdir(CITDIR) if f.endswith(".txt"))
@@ -436,6 +441,7 @@ def test_wordreader_fixtures():
     assert mis_text.split()[:10] == text.split()[:10] or mis_text
 
 
+@pytest.mark.skipif(not os.path.isdir(RFCDIR), reason="fixtures absent")
 def test_rfc_to_parsed():
     from ferenda_ray.sources.rfc import parse_rfc, rfc_to_parsed
     with open(os.path.join(RFCDIR, "basic.txt"), encoding="utf-8") as f:
@@ -464,6 +470,7 @@ def _rfc_repo_cases():
                   glob.glob(os.path.join(RFCREPO, "distilled", "*.ttl")))
 
 
+@pytest.mark.skipif(not os.path.isdir(RFCREPO), reason="fixtures absent")
 @pytest.mark.parametrize("basefile", _rfc_repo_cases())
 def test_rfc_distill_golden(basefile):
     from ferenda_ray.sources.rfc import rfc_distill
@@ -493,6 +500,7 @@ def _w3c_repo_cases():
                   glob.glob(os.path.join(W3CREPO, "distilled", "*.ttl")))
 
 
+@pytest.mark.skipif(not os.path.isdir(W3CREPO), reason="fixtures absent")
 @pytest.mark.parametrize("basefile", _w3c_repo_cases())
 def test_w3c_distill_golden(basefile):
     from ferenda_ray.sources.turtle import parse_turtle
@@ -531,6 +539,7 @@ def _mw_repo_cases():
                                         "*.ttl"), recursive=True))
 
 
+@pytest.mark.skipif(not os.path.isdir(MWREPO), reason="fixtures absent")
 @pytest.mark.parametrize("basefile", _mw_repo_cases())
 def test_mediawiki_distill_golden(basefile):
     if basefile in MW_OUT_OF_SCOPE:

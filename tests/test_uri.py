@@ -3,6 +3,8 @@
 Mirrors the reference's COIN tests and the canonical_uri /
 basefile_from_uri inverse property (swedishlegalsource.py:437-448)."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,13 +103,16 @@ def test_fragment_template_recursive_base():
 # --- legaluri conformance (test/files/legaluri, integrationLegalURI
 #     Construct) -----------------------------------------------------------
 
+LEGALURI_FIXDIR = "/root/reference/test/files/legaluri"
+
+
+@pytest.mark.skipif(not os.path.isdir(LEGALURI_FIXDIR),
+                    reason="fixtures absent")
 def test_legaluri_construct_fixtures():
     import ast
     import glob
-    import os
     from ferenda_ray.uri import legaluri_construct
-    fixdir = "/root/reference/test/files/legaluri"
-    pairs = sorted(glob.glob(os.path.join(fixdir, "*.py")))
+    pairs = sorted(glob.glob(os.path.join(LEGALURI_FIXDIR, "*.py")))
     assert len(pairs) >= 4
     for py in pairs:
         with open(py) as fp:
